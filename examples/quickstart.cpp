@@ -43,8 +43,7 @@ int main(int argc, char** argv) {
 
   // 3. Run any registered strategy by name on shared resources. RunHooks
   //    gives live progress (and could cancel the run).
-  engine::Engine eng(engine::ExecResources{/*threads=*/0, /*useOpenMp=*/false,
-                                           /*seed=*/7});
+  engine::Engine eng(engine::ExecResources{.threads = 0, .seed = 7});
   engine::RunHooks hooks;
   hooks.onProgress = [](const engine::RunProgress& p) {
     if (p.total != 0 && p.done == p.total) {

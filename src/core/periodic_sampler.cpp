@@ -7,7 +7,6 @@
 #include "core/split_merge.hpp"
 #include "mcmc/sampler.hpp"
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/virtual_clock.hpp"
 #include "partition/grid.hpp"
@@ -101,33 +100,34 @@ struct PeriodicSampler::Impl {
   const mcmc::MoveRegistry& registry;
   PeriodicParams params;
   rng::Stream master;
-  std::unique_ptr<par::ThreadPool> pool;
+  par::PoolLease callerOnly;  ///< single-thread lease of the serial executors
+  const par::PoolLease* lease = &callerOnly;
   std::unique_ptr<spec::SpeculativeExecutor> specExec;
   std::uint64_t phaseCounter = 0;
 
   Impl(model::ModelState& s, const mcmc::MoveRegistry& r,
-       const PeriodicParams& p, std::uint64_t seed)
+       const PeriodicParams& p, std::uint64_t seed,
+       const par::PoolLease* poolLease)
       : state(s), registry(r), params(p), master(seed) {
-    if (params.executor == LocalExecutor::InPlacePool ||
-        params.executor == LocalExecutor::SplitMergePool) {
-      pool = par::makeThreadPool(params.threads);
+    // Serial executors keep their global lanes serial too: virtual-time
+    // accounting measures each lane's cost undisturbed.
+    if (poolLease != nullptr &&
+        (params.executor == LocalExecutor::InPlacePool ||
+         params.executor == LocalExecutor::SplitMergePool)) {
+      lease = poolLease;
     }
     if (params.specLanesGlobal > 1) {
       specExec = std::make_unique<spec::SpeculativeExecutor>(
           state, registry, params.specLanesGlobal,
-          master.derive(0xC0FFEE).bits(), pool.get());
+          master.derive(0xC0FFEE).bits(), lease);
     }
   }
 
   [[nodiscard]] double effectiveMargin() const {
     if (params.margin >= 0.0) return params.margin;
-    switch (params.executor) {
-      case LocalExecutor::InPlacePool:
-      case LocalExecutor::InPlaceOmp:
-        return partition::inPlaceSafetyMargin(state);
-      default:
-        return 0.0;
-    }
+    return params.executor == LocalExecutor::InPlacePool
+               ? partition::inPlaceSafetyMargin(state)
+               : 0.0;
   }
 
   [[nodiscard]] std::vector<model::Bounds> makePartitions(rng::Stream& stream) const {
@@ -228,34 +228,15 @@ struct PeriodicSampler::Impl {
     double splitMergeOverhead = 0.0;
 
     switch (params.executor) {
-      case LocalExecutor::Serial: {
-        for (std::size_t i = 0; i < partitions.size(); ++i) {
-          if (allocation[i] == 0) continue;
-          results[i] =
-              runLocalSessionShared(state, registry, constraints[i],
-                                    candidates[i], allocation[i], streams[i]);
-        }
-        break;
-      }
+      // The serial executors' callerOnly lease runs partitions in order.
+      case LocalExecutor::Serial:
       case LocalExecutor::InPlacePool: {
-        pool->parallelFor(partitions.size(), [&](std::size_t i) {
+        lease->parallelFor(partitions.size(), [&](std::size_t i) {
           if (allocation[i] == 0) return;
           results[i] =
               runLocalSessionShared(state, registry, constraints[i],
                                     candidates[i], allocation[i], streams[i]);
         });
-        break;
-      }
-      case LocalExecutor::InPlaceOmp: {
-        par::ompParallelFor(
-            partitions.size(),
-            [&](std::size_t i) {
-              if (allocation[i] == 0) return;
-              results[i] = runLocalSessionShared(state, registry,
-                                                 constraints[i], candidates[i],
-                                                 allocation[i], streams[i]);
-            },
-            params.threads);
         break;
       }
       case LocalExecutor::SplitMergeSerial:
@@ -277,17 +258,10 @@ struct PeriodicSampler::Impl {
         }
         const double splitSeconds = splitTimer.seconds();
 
-        if (params.executor == LocalExecutor::SplitMergePool) {
-          pool->parallelFor(subs.size(), [&](std::size_t k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          });
-        } else {
-          for (std::size_t k = 0; k < subs.size(); ++k) {
-            results[active[k]] = runLocalSessionSub(
-                subs[k], registry, allocation[active[k]], streams[active[k]]);
-          }
-        }
+        lease->parallelFor(subs.size(), [&](std::size_t k) {
+          results[active[k]] = runLocalSessionSub(
+              subs[k], registry, allocation[active[k]], streams[active[k]]);
+        });
 
         // Merge back (sequential master work).
         const par::WallTimer mergeTimer;
@@ -300,8 +274,7 @@ struct PeriodicSampler::Impl {
     // Fold worker deltas (shared-state sessions only; split/merge folded
     // through mergeSubState already).
     const bool sharedState = params.executor == LocalExecutor::Serial ||
-                             params.executor == LocalExecutor::InPlacePool ||
-                             params.executor == LocalExecutor::InPlaceOmp;
+                             params.executor == LocalExecutor::InPlacePool;
     std::vector<double> taskSeconds;
     taskSeconds.reserve(results.size());
     for (SessionResult& r : results) {
@@ -392,8 +365,9 @@ struct PeriodicSampler::Impl {
 PeriodicSampler::PeriodicSampler(model::ModelState& state,
                                  const mcmc::MoveRegistry& registry,
                                  const PeriodicParams& params,
-                                 std::uint64_t seed)
-    : impl_(std::make_unique<Impl>(state, registry, params, seed)) {}
+                                 std::uint64_t seed,
+                                 const par::PoolLease* lease)
+    : impl_(std::make_unique<Impl>(state, registry, params, seed, lease)) {}
 
 PeriodicSampler::~PeriodicSampler() = default;
 

@@ -7,29 +7,29 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "model/posterior.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 #include "rng/stream.hpp"
 
 namespace mcmcpar::core {
 
-/// How the local (Ml) phases execute their partitions.
+/// How the local (Ml) phases execute their partitions. The values are
+/// explicit because parameterised test names print them; they must not
+/// shift when an executor is removed.
 enum class LocalExecutor : std::uint8_t {
   /// One after another on the calling thread. Reference semantics; also the
   /// basis for virtual-time accounting (per-partition costs are measured
   /// undisturbed).
-  Serial,
-  /// Shared-memory concurrency on the library ThreadPool; workers mutate the
-  /// shared state under the legality margin (DESIGN.md §5) and accumulate
-  /// scalar deltas thread-locally.
-  InPlacePool,
-  /// As InPlacePool but on OpenMP threads.
-  InPlaceOmp,
+  Serial = 0,
+  /// Shared-memory concurrency on the sampler's PoolLease; workers mutate
+  /// the shared state under the legality margin (DESIGN.md §5) and
+  /// accumulate scalar deltas thread-locally.
+  InPlacePool = 1,
   /// Deep-copied sub-states (crop + copy, run, merge back) executed
   /// serially: the faithful "duplicate ... and merge" path of §VII whose
   /// overhead Fig. 2 measures; required for virtual-time cluster modelling.
-  SplitMergeSerial,
-  /// Sub-states executed on the ThreadPool.
-  SplitMergePool,
+  SplitMergeSerial = 3,
+  /// Sub-states executed on the sampler's PoolLease.
+  SplitMergePool = 4,
 };
 
 /// How partitions are laid out each local phase.
@@ -57,7 +57,6 @@ struct PeriodicParams {
   double margin = -1.0;
 
   LocalExecutor executor = LocalExecutor::Serial;
-  unsigned threads = 0;  ///< real worker threads (0 = hardware)
 
   /// When > 0, also account a virtual wall clock for an SMP with this many
   /// threads (requires a serial executor so per-partition costs can be
@@ -117,8 +116,12 @@ struct PeriodicReport {
 /// iterations to partitions in proportion to their modifiable features.
 class PeriodicSampler {
  public:
+  /// The pool executors (InPlacePool, SplitMergePool) and their global-phase
+  /// speculative lanes run on the threads of `lease` (borrowed; null runs
+  /// them serially on the calling thread).
   PeriodicSampler(model::ModelState& state, const mcmc::MoveRegistry& registry,
-                  const PeriodicParams& params, std::uint64_t seed);
+                  const PeriodicParams& params, std::uint64_t seed,
+                  const par::PoolLease* lease = nullptr);
   ~PeriodicSampler();
 
   PeriodicSampler(const PeriodicSampler&) = delete;

@@ -14,7 +14,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "par/concurrency.hpp"
-#include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
 #include "rng/splitmix64.hpp"
 #include "shard/tiling.hpp"
@@ -60,11 +59,14 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
 
   // Either a private budget for this one call, or the caller's long-lived
   // one (serve::Server runs batch after batch against a single budget).
+  // A budget's owner charges it for the thread that calls in: the owner of
+  // a shared budget did so already, and this call owns a private one.
   std::optional<par::PoolBudget> ownedBudget;
   par::PoolBudget* budgetPtr = options.sharedBudget;
   if (budgetPtr == nullptr) {
     ownedBudget.emplace(options.resources.threads);
     budgetPtr = &*ownedBudget;
+    (void)ownedBudget->tryAcquire(1);
   }
   par::PoolBudget& budget = *budgetPtr;
 
@@ -73,25 +75,19 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
                              ? options.maxConcurrentJobs
                              : totalThreads;
   concurrency = std::min(concurrency, totalThreads);
-  // Never more runners than jobs (an empty batch keeps one nominal runner
-  // and the serial path below spawns no pool at all).
+  // Never more runners than jobs (an empty batch keeps one nominal runner,
+  // the calling thread, and leases no workers).
   const std::size_t jobCap = std::max<std::size_t>(n, 1);
   if (jobCap < concurrency) concurrency = static_cast<unsigned>(jobCap);
   concurrency = std::max(concurrency, 1u);
 
-  // The shared budget: job-runner threads are charged up front, strategies
+  // Job runners are the calling thread plus leased workers; strategies
   // lease their internal workers from the remainder. A shared budget may be
   // partially drained by concurrent holders — run with what it grants (at
-  // least the calling thread) and return it on every exit path.
-  const unsigned charged = budget.tryAcquire(concurrency);
-  if (options.sharedBudget != nullptr) {
-    concurrency = std::max(charged, 1u);
-  }
-  struct BudgetReturn {
-    par::PoolBudget& budget;
-    unsigned charged;
-    ~BudgetReturn() { budget.release(charged); }
-  } budgetReturn{budget, charged};
+  // least the calling thread). The lease returns its workers on every exit
+  // path.
+  const par::PoolLease runners = par::PoolLease::acquire(&budget, concurrency);
+  concurrency = runners.threads();
 
   result.batch.threadBudget = totalThreads;
   result.batch.concurrentJobs = concurrency;
@@ -183,14 +179,7 @@ BatchResult BatchRunner::run(const std::vector<BatchJob>& jobs,
     }
   };
 
-  if (concurrency <= 1) {
-    for (std::size_t i = 0; i < n; ++i) runJob(i);
-  } else {
-    // concurrency-1 workers plus the calling thread: parallelFor's caller
-    // helps drain the queue, so exactly `concurrency` jobs run at once.
-    par::ThreadPool pool(concurrency - 1);
-    pool.parallelFor(n, runJob);
-  }
+  runners.parallelFor(n, runJob);
 
   // Aggregate.
   BatchReport& batch = result.batch;

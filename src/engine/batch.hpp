@@ -51,12 +51,13 @@ struct BatchOptions {
   /// jobs not yet started are skipped.
   double deadlineSeconds = 0.0;
 
-  /// When set (borrowed), the batch charges its job-runner threads against
-  /// this long-lived budget instead of constructing a private one, and
-  /// returns them when the run ends — the reusable-budget lifecycle a
+  /// When set (borrowed), the batch leases its job-runner threads from this
+  /// long-lived budget instead of constructing a private one, and returns
+  /// them when the run ends — the reusable-budget lifecycle a
   /// persistent front-end needs to run batch after batch against one
   /// PoolBudget. `resources.threads` is ignored in favour of the budget's
-  /// total.
+  /// total. The calling thread is one of the job runners and must already
+  /// be charged to the budget by its owner, as a serve worker is.
   par::PoolBudget* sharedBudget = nullptr;
 };
 
@@ -111,7 +112,7 @@ struct BatchResult {
 ///
 /// Jobs are validated up front (unknown strategies or malformed options
 /// fail the whole batch before any work starts), dispatched in submission
-/// order over an internal par::ThreadPool, and reported in submission
+/// order over a par::PoolLease of the budget, and reported in submission
 /// order. Each job runs under a wrapped RunHooks that forwards progress,
 /// honours the per-batch deadline and propagates batch cancellation; a
 /// cancelled batch keeps every already-finished report intact.

@@ -63,7 +63,10 @@ struct Problem {
 /// `threads`/`seed` knobs live, replacing the per-strategy copies.
 struct ExecResources {
   unsigned threads = 0;  ///< worker threads (0 = hardware, via par::resolveThreadCount)
-  bool useOpenMp = false;  ///< prefer OpenMP over the library ThreadPool
+  /// Unread. It once selected an OpenMP executor; the slot stays so that
+  /// existing positional initialisers `ExecResources{threads, false, seed}`
+  /// keep compiling. Every strategy runs on its PoolBudget's pool.
+  bool useOpenMp = false;
   std::uint64_t seed = 1;
 
   /// When set (borrowed, e.g. by BatchRunner), strategies resolve `threads`

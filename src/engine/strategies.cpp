@@ -57,10 +57,11 @@ class StrategyBase : public Strategy {
     }
   }
 
-  /// Resolve the `threads` knob for this run: against the whole machine
-  /// when standalone, against the shared budget when running inside a
-  /// batch. Held for the duration of run() so concurrent jobs see the
-  /// reduced availability.
+  /// Resolve the `threads` knob for this run against the shared budget
+  /// when running inside a batch or server; a standalone run (no budget)
+  /// gets a budget of its own, so both paths run their parallel loops on a
+  /// budget's resident pool. Held for the duration of run() so concurrent
+  /// jobs see the reduced availability.
   [[nodiscard]] par::PoolLease leaseThreads() const {
     return par::PoolLease::acquire(resources_.poolBudget, resources_.threads);
   }
@@ -185,14 +186,8 @@ class SpeculativeStrategy final : public StrategyBase {
     model::ModelState state = makeState(stream);
 
     const par::PoolLease lease = leaseThreads();
-    const unsigned workers = lease.threads();
-    std::unique_ptr<par::ThreadPool> pool;
-    // parallelFor also drains lanes on this (already-leased) thread, so the
-    // pool itself is one smaller than the lease: pool + caller == workers.
-    if (workers > 1 && lanes_ > 1) pool = par::makeThreadPool(workers - 1);
     spec::SpeculativeExecutor executor(state, registry_, lanes_,
-                                       stream.derive(0x5BEC).bits(),
-                                       pool.get());
+                                       stream.derive(0x5BEC).bits(), &lease);
 
     // The executor has no internal trace; run in trace-sized chunks and
     // record the posterior between them.
@@ -233,7 +228,7 @@ class SpeculativeStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = executor.diagnostics();
-    report.threadsUsed = pool ? std::min(workers, lanes_) : 1;
+    report.threadsUsed = std::min(lease.threads(), lanes_);
     report.extras = executor.stats();
     finaliseCommon(report);
     return report;
@@ -288,14 +283,9 @@ class Mc3Strategy final : public StrategyBase {
     const par::PoolLease lease = leaseThreads();
     mcmc::Mc3Params params = params_;
     params.parallelChains = parallelOverride_.value_or(lease.threads() > 1);
-    // The driver's chain-stepping parallelFor also runs on this thread, so
-    // its pool must be one smaller than the lease: pool + caller == lease.
-    params.threads = params.parallelChains && lease.threads() > 1
-                         ? lease.threads() - 1
-                         : lease.threads();
     mcmc::Mc3Sampler sampler(*problem_.filtered, prior_, problem_.likelihood,
                              registry_, params, initialCircleCount(),
-                             resources_.seed);
+                             resources_.seed, &lease);
 
     const par::WallTimer timer;
     const std::uint64_t done =
@@ -334,7 +324,6 @@ class PeriodicStrategy final : public StrategyBase {
     params_.specLanesGlobal = options.uns("spec-lanes", 1);
     params_.virtualThreads = options.uns("virtual-threads", 0);
     params_.resyncPhaseInterval = options.u64("resync", 64);
-    // params_.threads is set in run() from the lease, not here.
 
     const std::string layout = options.str("layout", "cross");
     if (layout == "cross") {
@@ -357,8 +346,6 @@ class PeriodicStrategy final : public StrategyBase {
       params_.executor = core::LocalExecutor::Serial;
     } else if (executor == "pool") {
       params_.executor = core::LocalExecutor::InPlacePool;
-    } else if (executor == "omp") {
-      params_.executor = core::LocalExecutor::InPlaceOmp;
     } else if (executor == "split-serial") {
       params_.executor = core::LocalExecutor::SplitMergeSerial;
     } else if (executor == "split-pool") {
@@ -366,7 +353,7 @@ class PeriodicStrategy final : public StrategyBase {
     } else {
       throw EngineError(
           "strategy '" + name_ + "': executor must be one of " +
-          "'auto', 'serial', 'pool', 'omp', 'split-serial', 'split-pool', " +
+          "'auto', 'serial', 'pool', 'split-serial', 'split-pool', " +
           "got '" + executor + "'");
     }
   }
@@ -378,28 +365,16 @@ class PeriodicStrategy final : public StrategyBase {
 
     const par::PoolLease lease = leaseThreads();
     core::PeriodicParams params = params_;
-    params.threads = lease.threads();
     if (autoExecutor_) {
-      if (resources_.useOpenMp) {
-        params.executor = core::LocalExecutor::InPlaceOmp;
-      } else if (lease.threads() > 1) {
-        params.executor = core::LocalExecutor::InPlacePool;
-      } else {
-        params.executor = core::LocalExecutor::Serial;
-      }
+      params.executor = lease.threads() > 1 ? core::LocalExecutor::InPlacePool
+                                            : core::LocalExecutor::Serial;
     }
-    // ThreadPool executors drain parallelFor on this thread too, so their
-    // pool is one smaller than the lease; an OpenMP team already counts the
-    // caller as its master thread.
-    const bool poolExecutor =
-        params.executor == core::LocalExecutor::InPlacePool ||
-        params.executor == core::LocalExecutor::SplitMergePool;
-    if (poolExecutor && params.threads > 1) --params.threads;
     params.totalIterations = budget.iterations;
     params.traceInterval = traceEvery(budget);
 
     const par::WallTimer timer;
-    core::PeriodicSampler sampler(state, registry_, params, resources_.seed);
+    core::PeriodicSampler sampler(state, registry_, params, resources_.seed,
+                                  &lease);
     core::PeriodicReport periodic = sampler.run(hooks);
 
     RunReport report = baseReport();
@@ -409,16 +384,10 @@ class PeriodicStrategy final : public StrategyBase {
     report.circles = state.config().snapshot();
     report.logPosterior = state.logPosterior();
     report.diagnostics = periodic.diagnostics;
-    switch (params.executor) {
-      case core::LocalExecutor::InPlacePool:
-      case core::LocalExecutor::InPlaceOmp:
-      case core::LocalExecutor::SplitMergePool:
-        report.threadsUsed = lease.threads();
-        break;
-      default:
-        report.threadsUsed = 1;
-        break;
-    }
+    const bool poolExecutor =
+        params.executor == core::LocalExecutor::InPlacePool ||
+        params.executor == core::LocalExecutor::SplitMergePool;
+    report.threadsUsed = poolExecutor ? lease.threads() : 1;
     // Last read of `periodic` above — avoid copying its trace/diagnostics.
     report.extras = std::move(periodic);
     finaliseCommon(report);
@@ -539,7 +508,7 @@ const StrategyRegistry& StrategyRegistry::builtin() {
             }});
     r->add({"periodic", "§V-VII",
             "periodic partitioning (global/local phases)", "PeriodicReport",
-            "phase=N executor=auto|serial|pool|omp|split-serial|split-pool "
+            "phase=N executor=auto|serial|pool|split-serial|split-pool "
             "layout=cross|grid margin=X spec-lanes=N virtual-threads=N "
             "resync=N grid-x=X grid-y=X",
             [](const ExecResources& res, const OptionMap& opts) {

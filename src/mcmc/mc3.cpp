@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "par/concurrency.hpp"
-
 namespace mcmcpar::mcmc {
 
 bool temperedStep(model::ModelState& state, const MoveRegistry& registry,
@@ -31,12 +29,13 @@ struct Mc3Sampler::Impl {
   Diagnostics coldDiagnostics;
   Mc3Stats stats;
   rng::Stream swapStream;
-  std::unique_ptr<par::ThreadPool> pool;
+  const par::PoolLease* lease = nullptr;  ///< set when chains step in parallel
   std::uint64_t nextTrace = 0;
 
   Impl(const img::ImageF& filtered, const model::PriorParams& prior,
        const model::LikelihoodParams& likelihood, const MoveRegistry& reg,
-       const Mc3Params& p, std::size_t initialCircles, std::uint64_t seed)
+       const Mc3Params& p, std::size_t initialCircles, std::uint64_t seed,
+       const par::PoolLease* chainLease)
       : registry(reg), params(p), swapStream(rng::Stream(seed).derive(0xABBA)) {
     params.chains = std::max(params.chains, 1u);
     // A zero interval would make run()'s step = min(0, remaining) spin.
@@ -49,9 +48,7 @@ struct Mc3Sampler::Impl {
       chains.back()->initialiseRandom(initialCircles, streams.back());
       betas.push_back(1.0 / (1.0 + k * params.heatStep));
     }
-    if (params.parallelChains && params.chains > 1) {
-      pool = par::makeThreadPool(params.threads);
-    }
+    if (params.parallelChains) lease = chainLease;
   }
 
   void stepInterval(std::uint64_t iters) {
@@ -61,8 +58,8 @@ struct Mc3Sampler::Impl {
         temperedStep(*chains[k], registry, betas[k], streams[k], diag);
       }
     };
-    if (pool) {
-      pool->parallelFor(chains.size(), body);
+    if (lease != nullptr) {
+      lease->parallelFor(chains.size(), body);
     } else {
       for (std::size_t k = 0; k < chains.size(); ++k) body(k);
     }
@@ -118,9 +115,10 @@ Mc3Sampler::Mc3Sampler(const img::ImageF& filtered,
                        const model::PriorParams& prior,
                        const model::LikelihoodParams& likelihood,
                        const MoveRegistry& registry, const Mc3Params& params,
-                       std::size_t initialCircles, std::uint64_t seed)
+                       std::size_t initialCircles, std::uint64_t seed,
+                       const par::PoolLease* lease)
     : impl_(std::make_unique<Impl>(filtered, prior, likelihood, registry,
-                                   params, initialCircles, seed)) {}
+                                   params, initialCircles, seed, lease)) {}
 
 Mc3Sampler::~Mc3Sampler() = default;
 

@@ -8,7 +8,7 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "model/posterior.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 #include "rng/stream.hpp"
 
 namespace mcmcpar::mcmc {
@@ -27,10 +27,10 @@ struct Mc3Params {
   /// proposed for a state swap under the modified MH test.
   std::uint64_t swapInterval = 100;
 
-  /// Step the chains of an interval concurrently on a thread pool (chains
-  /// are independent between swaps, so this is exact task parallelism).
+  /// Step the chains of an interval concurrently on the sampler's lease
+  /// (chains are independent between swaps, so this is exact task
+  /// parallelism).
   bool parallelChains = false;
-  unsigned threads = 0;
 };
 
 /// Swap bookkeeping.
@@ -62,11 +62,13 @@ struct Mc3Stats {
 class Mc3Sampler {
  public:
   /// Every chain gets its own ModelState initialised with `initialCircles`
-  /// random circles from its own substream.
+  /// random circles from its own substream. With `params.parallelChains`,
+  /// chains step on the threads of `lease` (borrowed; null = serially).
   Mc3Sampler(const img::ImageF& filtered, const model::PriorParams& prior,
              const model::LikelihoodParams& likelihood,
              const MoveRegistry& registry, const Mc3Params& params,
-             std::size_t initialCircles, std::uint64_t seed);
+             std::size_t initialCircles, std::uint64_t seed,
+             const par::PoolLease* lease = nullptr);
   ~Mc3Sampler();
 
   Mc3Sampler(const Mc3Sampler&) = delete;

@@ -12,12 +12,12 @@ unsigned resolveThreadCount(unsigned requested) noexcept {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-std::unique_ptr<ThreadPool> makeThreadPool(unsigned requested) {
-  return std::make_unique<ThreadPool>(resolveThreadCount(requested));
+PoolBudget::PoolBudget(unsigned total)
+    : total_(resolveThreadCount(total)), available_(total_) {
+  if (total_ > 1) pool_ = std::make_unique<ThreadPool>(total_ - 1);
 }
 
-PoolBudget::PoolBudget(unsigned total)
-    : total_(resolveThreadCount(total)), available_(total_) {}
+PoolBudget::~PoolBudget() = default;
 
 unsigned PoolBudget::available() const {
   const std::scoped_lock lock(mutex_);
@@ -51,16 +51,24 @@ void PoolBudget::release(unsigned count) noexcept {
 
 PoolLease PoolLease::acquire(PoolBudget* budget, unsigned requested) {
   const unsigned want = resolveThreadCount(requested);
-  if (budget == nullptr) return PoolLease(nullptr, 0, want);
+  std::unique_ptr<PoolBudget> owned;
+  if (budget == nullptr) {
+    if (want == 1) return {};
+    owned = std::make_unique<PoolBudget>(want);
+    budget = owned.get();
+  }
   // The calling thread is charged to the budget by its owner; lease only
   // the extra workers, and never more than the budget could ever hold.
   const unsigned capped = std::min(want, budget->total());
   const unsigned extras = capped > 1 ? budget->tryAcquire(capped - 1) : 0;
-  return PoolLease(budget, extras, 1 + extras);
+  PoolLease lease(budget, extras, 1 + extras);
+  lease.owned_ = std::move(owned);
+  return lease;
 }
 
 PoolLease::PoolLease(PoolLease&& other) noexcept
-    : budget_(other.budget_),
+    : owned_(std::move(other.owned_)),
+      budget_(other.budget_),
       granted_(other.granted_),
       threads_(other.threads_) {
   other.budget_ = nullptr;
@@ -71,6 +79,7 @@ PoolLease::PoolLease(PoolLease&& other) noexcept
 PoolLease& PoolLease::operator=(PoolLease&& other) noexcept {
   if (this != &other) {
     release();
+    owned_ = std::move(other.owned_);
     budget_ = other.budget_;
     granted_ = other.granted_;
     threads_ = other.threads_;
@@ -81,11 +90,21 @@ PoolLease& PoolLease::operator=(PoolLease&& other) noexcept {
   return *this;
 }
 
+void PoolLease::parallelFor(
+    std::size_t n, const std::function<void(std::size_t)>& fn) const {
+  if (threads_ > 1) {
+    budget_->pool_->parallelFor(n, fn, threads_ - 1);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) fn(i);
+}
+
 void PoolLease::release() noexcept {
   if (budget_ != nullptr && granted_ > 0) budget_->release(granted_);
   budget_ = nullptr;
   granted_ = 0;
   threads_ = 1;
+  owned_.reset();
 }
 
 }  // namespace mcmcpar::par

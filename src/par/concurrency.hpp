@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -14,26 +16,22 @@ class ThreadPool;
 /// this one function so the convention cannot drift between subsystems.
 [[nodiscard]] unsigned resolveThreadCount(unsigned requested) noexcept;
 
-/// Build a ThreadPool with `resolveThreadCount(requested)` workers — the
-/// shared "0 = hardware threads -> make pool" step previously re-implemented
-/// by the periodic sampler, (MC)^3 and the engine executors.
-[[nodiscard]] std::unique_ptr<ThreadPool> makeThreadPool(unsigned requested);
-
-class PoolLease;
-
-/// A worker-thread budget shared by concurrent jobs (engine::BatchRunner).
+/// A worker-thread budget shared by concurrent jobs, and the owner of the
+/// library's only compute pool.
 ///
-/// Without a budget every strategy resolves its `threads` knob against the
-/// whole machine, so 16 concurrent jobs on an 8-core box would spawn up to
-/// 128 workers. A PoolBudget caps the *sum*: the budget owner charges it for
-/// the threads that run the jobs themselves, and each job leases any extra
-/// internal workers from what is left (see PoolLease::acquire). Acquisition
-/// never blocks — a job that finds the budget empty simply runs serially on
-/// its calling thread.
+/// The budget builds one resident ThreadPool of `total - 1` workers when it
+/// is constructed; a job's own calling thread is the remaining one. The
+/// budget caps the *sum* of threads in use: its owner charges it for the
+/// threads that run the jobs themselves (serve workers, batch runners), and
+/// each job leases any extra internal workers from what is left (see
+/// PoolLease::acquire) and runs its parallel loops on them through
+/// PoolLease::parallelFor. Acquisition never blocks — a job that finds the
+/// budget empty simply runs serially on its calling thread.
 class PoolBudget {
  public:
   /// Share `total` worker threads (0 = hardware concurrency).
   explicit PoolBudget(unsigned total = 0);
+  ~PoolBudget();
 
   PoolBudget(const PoolBudget&) = delete;
   PoolBudget& operator=(const PoolBudget&) = delete;
@@ -62,10 +60,13 @@ class PoolBudget {
   void release(unsigned count) noexcept;
 
  private:
+  friend class PoolLease;
+
   mutable std::mutex mutex_;
   std::condition_variable released_;
   unsigned total_;
   unsigned available_;
+  std::unique_ptr<ThreadPool> pool_;  ///< total_ - 1 workers; null if total_ == 1
 };
 
 /// RAII grant of worker threads against an optional PoolBudget.
@@ -77,13 +78,13 @@ class PoolLease {
   /// An unbudgeted single-thread lease.
   PoolLease() = default;
 
-  /// Resolve a thread request against an optional shared budget. With
-  /// `budget == nullptr` this is exactly resolveThreadCount(requested): the
-  /// job owns the whole machine (today's standalone behaviour). With a
-  /// budget, the calling thread is already paid for by the budget owner, so
-  /// the lease grants 1 (the caller) plus up to requested-1 extra workers,
-  /// capped by what the budget has left; the extras return to the budget
-  /// when the lease is released or destroyed.
+  /// Resolve a thread request against a budget. The calling thread is
+  /// already paid for by the budget owner, so the lease grants 1 (the
+  /// caller) plus up to requested-1 extra workers, capped by what the
+  /// budget has left; the extras return to the budget when the lease is
+  /// released or destroyed. With `budget == nullptr` (a standalone run) the
+  /// lease builds a budget of its own with resolveThreadCount(requested)
+  /// threads, so it grants exactly that many.
   [[nodiscard]] static PoolLease acquire(PoolBudget* budget,
                                          unsigned requested);
 
@@ -97,6 +98,13 @@ class PoolLease {
   /// Worker threads granted to the holder (calling thread included, >= 1).
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
+  /// Run fn(i) for every i in [0, n) on the calling thread plus at most
+  /// threads() - 1 of the budget's workers (ThreadPool::parallelFor: the
+  /// call claims only its own indices, nested calls cannot deadlock, and
+  /// the first exception propagates). Blocks until every index ran.
+  void parallelFor(std::size_t n,
+                   const std::function<void(std::size_t)>& fn) const;
+
   /// Return the leased extras to the budget early (idempotent).
   void release() noexcept;
 
@@ -104,6 +112,7 @@ class PoolLease {
   PoolLease(PoolBudget* budget, unsigned granted, unsigned threads) noexcept
       : budget_(budget), granted_(granted), threads_(threads) {}
 
+  std::unique_ptr<PoolBudget> owned_;  ///< a standalone lease's own budget
   PoolBudget* budget_ = nullptr;
   unsigned granted_ = 0;  ///< extras to give back on release
   unsigned threads_ = 1;

@@ -1,12 +1,51 @@
 #include "par/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
+#include <memory>
 
 #include "par/concurrency.hpp"
 
 namespace mcmcpar::par {
+
+namespace {
+
+/// The shared state of one parallelFor call. Helpers hold it by shared_ptr:
+/// a helper that starts after the caller returned finds no index left and
+/// exits without touching the caller's frame (`fn` is dereferenced only
+/// after a successful claim, i.e. while the caller is still waiting).
+struct ParallelCall {
+  ParallelCall(std::size_t count, const std::function<void(std::size_t)>& f)
+      : n(count), fn(&f) {}
+
+  /// Claim and run indices until none is left.
+  void work() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      std::exception_ptr caught;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        caught = std::current_exception();
+      }
+      const std::scoped_lock lock(mutex);
+      if (caught && !error) error = caught;
+      if (++finished == n) allFinished.notify_all();
+    }
+  }
+
+  const std::size_t n;
+  const std::function<void(std::size_t)>* const fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;
+  std::condition_variable allFinished;
+  std::size_t finished = 0;  ///< guarded by mutex
+  std::exception_ptr error;  ///< first failure; guarded by mutex
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(unsigned threads) {
   threads = resolveThreadCount(threads);
@@ -26,8 +65,7 @@ ThreadPool::~ThreadPool() {
   taskReady_.notify_all();
   // Join here rather than in the jthread destructors: `workers_` is
   // declared first, so its implicit join would run *after* mutex_ and the
-  // condition variables are destroyed — and a worker finishing its last
-  // task still notifies allDone_ on the way out (caught by TSan).
+  // condition variable are destroyed.
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -37,125 +75,29 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     const std::lock_guard lock(mutex_);
     queue_.push(std::move(task));
-    ++inFlight_;
   }
   taskReady_.notify_one();
 }
 
-void ThreadPool::wait() {
-  std::unique_lock lock(mutex_);
-  allDone_.wait(lock, [this] { return inFlight_ == 0; });
-}
-
 void ThreadPool::parallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
+                             const std::function<void(std::size_t)>& fn,
+                             unsigned maxWorkers) {
   if (n == 0) return;
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr firstError;
-  std::mutex errorMutex;
-
-  // Per-call completion latch. parallelFor must not wait on the global
-  // inFlight_ count: a nested call from inside fn runs on a worker whose
-  // own enclosing task is still in flight, so waiting for inFlight_ == 0
-  // would deadlock.
-  std::mutex doneMutex;
-  std::condition_variable doneCv;
-  std::size_t helpersLeft = 0;
-
-  const auto body = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      try {
-        fn(i);
-      } catch (...) {
-        const std::lock_guard lock(errorMutex);
-        if (!firstError) firstError = std::current_exception();
-      }
-    }
-  };
-
-  // Each submitted wrapper and the calling thread all drain the index
-  // counter, so the work balances dynamically whatever the pool size.
-  const std::size_t helpers = std::min<std::size_t>(threadCount(), n);
-  {
-    const std::lock_guard lock(doneMutex);
-    helpersLeft = helpers;
-  }
-  // If submit() throws partway (bad_alloc), already-queued wrappers still
-  // reference this frame: account for the never-submitted rest, finish the
-  // work and the drain-wait as usual, and only then rethrow.
-  std::size_t submitted = 0;
-  std::exception_ptr submitError;
+  const auto call = std::make_shared<ParallelCall>(n, fn);
+  const std::size_t helpers =
+      std::min<std::size_t>({maxWorkers, threadCount(), n - 1});
   try {
-    for (; submitted < helpers; ++submitted) {
-      submit([&] {
-        body();
-        // Notify under the lock: the caller can only observe
-        // helpersLeft == 0 (and destroy the latch) after this wrapper
-        // released doneMutex.
-        const std::lock_guard lock(doneMutex);
-        --helpersLeft;
-        doneCv.notify_all();
-      });
+    for (std::size_t h = 0; h < helpers; ++h) {
+      submit([call] { call->work(); });
     }
   } catch (...) {
-    submitError = std::current_exception();
-    const std::lock_guard lock(doneMutex);
-    helpersLeft -= helpers - submitted;
+    // Out of memory while queueing: the caller runs whatever the helpers
+    // already queued do not claim, so the call still completes.
   }
-  body();
-  // Drain queued pool tasks while waiting for the helpers, so that a nested
-  // parallelFor's helpers cannot starve when every worker is itself blocked
-  // inside an enclosing parallelFor. One task per iteration, re-checking the
-  // latch in between: once the helpers are done we return immediately
-  // instead of working through an unrelated queue backlog. The timed wait
-  // covers the window where a task is submitted after we found the queue
-  // empty.
-  for (;;) {
-    {
-      std::unique_lock lock(doneMutex);
-      if (helpersLeft == 0) break;
-    }
-    if (!runPendingTask()) {
-      std::unique_lock lock(doneMutex);
-      if (doneCv.wait_for(lock, std::chrono::milliseconds(1),
-                          [&] { return helpersLeft == 0; })) {
-        break;
-      }
-    }
-  }
-  if (firstError) std::rethrow_exception(firstError);
-  if (submitError) std::rethrow_exception(submitError);
-}
-
-void ThreadPool::runTaskAndAccount(std::function<void()>& task) {
-  // The submit() contract: a fire-and-forget task that throws has no caller
-  // to land in — terminate deterministically rather than unwinding into a
-  // worker's jthread or an unrelated parallelFor (which would also leak
-  // inFlight_ and destroy the latch under running helpers).
-  try {
-    task();
-  } catch (...) {
-    std::terminate();
-  }
-  {
-    const std::lock_guard lock(mutex_);
-    --inFlight_;
-  }
-  allDone_.notify_all();
-}
-
-bool ThreadPool::runPendingTask() {
-  std::function<void()> task;
-  {
-    const std::lock_guard lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
-  }
-  runTaskAndAccount(task);
-  return true;
+  call->work();
+  std::unique_lock lock(call->mutex);
+  call->allFinished.wait(lock, [&] { return call->finished == n; });
+  if (call->error) std::rethrow_exception(call->error);
 }
 
 void ThreadPool::workerLoop(const std::stop_token& stop) {
@@ -166,14 +108,11 @@ void ThreadPool::workerLoop(const std::stop_token& stop) {
       taskReady_.wait(lock, [this, &stop] {
         return stopping_ || stop.stop_requested() || !queue_.empty();
       });
-      if (queue_.empty()) {
-        if (stopping_ || stop.stop_requested()) return;
-        continue;
-      }
+      if (queue_.empty()) return;  // stopping with nothing left to run
       task = std::move(queue_.front());
       queue_.pop();
     }
-    runTaskAndAccount(task);
+    task();  // a throwing task terminates (see the submit() contract)
   }
 }
 

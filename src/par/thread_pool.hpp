@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -12,11 +13,10 @@ namespace mcmcpar::par {
 
 /// A fixed-size worker pool executing submitted tasks FIFO.
 ///
-/// Workers are std::jthread, so destruction joins automatically after the
-/// stop flag drains the queue. `parallelFor` is the blocking primitive the
-/// executors use: it runs fn(i) for i in [0, n) across the workers and the
-/// calling thread, returning when every index completed. Exceptions from
-/// tasks propagate out of parallelFor (first one wins).
+/// In the library, the only pool is the one a PoolBudget owns; jobs reach
+/// it through PoolLease::parallelFor. `parallelFor` is the blocking
+/// primitive: it runs fn(i) for i in [0, n) on the calling thread plus at
+/// most `maxWorkers` pool workers, returning when every index completed.
 class ThreadPool {
  public:
   /// Spawn `threads` workers (0 = hardware concurrency, at least 1).
@@ -31,39 +31,30 @@ class ThreadPool {
   }
 
   /// Enqueue a fire-and-forget task. The task must not throw: it has no
-  /// caller to receive an exception, so one escaping terminates the process
-  /// whether a worker or a queue-draining parallelFor caller runs it. Use
-  /// parallelFor for work whose exceptions must propagate.
+  /// caller to receive an exception, so one escaping terminates the
+  /// process. Use parallelFor for work whose exceptions must propagate.
   void submit(std::function<void()> task);
 
-  /// Block until all tasks submitted so far have finished.
-  void wait();
-
   /// Run fn(i) for every i in [0, n), distributing dynamically (one index
-  /// per task; appropriate for coarse tasks like MCMC partitions). Blocks.
-  /// Reentrant: fn may itself call parallelFor on the same pool — the
-  /// waiting caller helps drain the task queue, so nested calls make
-  /// progress even when every worker is blocked in an enclosing call.
-  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// at a time; appropriate for coarse tasks like MCMC partitions) over the
+  /// calling thread and up to `maxWorkers` pool workers (default: all).
+  /// Blocks.
+  ///
+  /// A call claims indices only from its own range and waits only for
+  /// indices already running, never for a helper still queued behind other
+  /// work, so concurrent and nested calls cannot deadlock and a caller never
+  /// runs another call's work. The first exception fn throws is rethrown
+  /// once every index has run.
+  void parallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
+                   unsigned maxWorkers = std::numeric_limits<unsigned>::max());
 
  private:
   void workerLoop(const std::stop_token& stop);
-
-  /// Run a dequeued task and settle the in-flight accounting; terminates if
-  /// the task throws (see the submit() contract). Shared by workerLoop and
-  /// runPendingTask so the execution protocol lives in one place.
-  void runTaskAndAccount(std::function<void()>& task);
-
-  /// Pop and run one queued task on the calling thread; false if the queue
-  /// was empty. Used by parallelFor to help while waiting.
-  bool runPendingTask();
 
   std::vector<std::jthread> workers_;
   std::queue<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable taskReady_;
-  std::condition_variable allDone_;
-  std::size_t inFlight_ = 0;
   bool stopping_ = false;
 };
 

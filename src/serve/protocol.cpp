@@ -4,6 +4,8 @@
 #include <sstream>
 #include <variant>
 
+#include "obs/trace.hpp"
+
 namespace mcmcpar::serve::protocol {
 
 namespace {
@@ -27,47 +29,13 @@ std::string numExact(double value) {
 
 }  // namespace
 
-std::string jsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string jobJson(const JobStatus& status,
                     const engine::RunReport& report) {
   std::ostringstream out;
   out << "{\"id\": " << status.id                                      //
-      << ", \"label\": \"" << jsonEscape(status.label) << "\""         //
-      << ", \"image\": \"" << jsonEscape(status.image) << "\""         //
-      << ", \"strategy\": \"" << jsonEscape(status.strategy) << "\""   //
+      << ", \"label\": \"" << obs::jsonEscape(status.label) << "\""         //
+      << ", \"image\": \"" << obs::jsonEscape(status.image) << "\""         //
+      << ", \"strategy\": \"" << obs::jsonEscape(status.strategy) << "\""   //
       << ", \"state\": \"" << toString(status.state) << "\""           //
       << ", \"latency_seconds\": " << num(status.latencySeconds)       //
       << ", \"wall_seconds\": " << num(report.wallSeconds)             //
@@ -77,11 +45,11 @@ std::string jobJson(const JobStatus& status,
       << ", \"log_posterior\": " << num(report.logPosterior)           //
       << ", \"threads_used\": " << report.threadsUsed                  //
       << ", \"cancelled\": " << (report.cancelled ? "true" : "false")  //
-      << ", \"client\": \"" << jsonEscape(status.client) << "\""       //
+      << ", \"client\": \"" << obs::jsonEscape(status.client) << "\""       //
       << ", \"queue_seconds\": " << num(status.queueSeconds)           //
       << ", \"predicted_cost_seconds\": "                              //
       << num(status.predictedCostSeconds)                              //
-      << ", \"error\": \"" << jsonEscape(status.error) << "\"}";
+      << ", \"error\": \"" << obs::jsonEscape(status.error) << "\"}";
   return out.str();
 }
 
@@ -109,7 +77,7 @@ std::string reportJson(const JobStatus& status,
       const stream::FrameResult& frame = seq->perFrame[i];
       if (i != 0) extra << ", ";
       extra << "{\"frame\": " << frame.index                        //
-            << ", \"label\": \"" << jsonEscape(frame.label) << "\""  //
+            << ", \"label\": \"" << obs::jsonEscape(frame.label) << "\""  //
             << ", \"iterations\": " << frame.iterations              //
             << ", \"circles\": " << frame.circles                    //
             << ", \"carried\": " << frame.carried                    //
@@ -155,7 +123,7 @@ std::string statsJson(const ServerStats& stats) {
   for (std::size_t i = 0; i < stats.clients.size(); ++i) {
     const ClientStats& client = stats.clients[i];
     if (i != 0) out << ", ";
-    out << "\"" << jsonEscape(client.client) << "\": {"      //
+    out << "\"" << obs::jsonEscape(client.client) << "\": {"      //
         << "\"weight\": " << client.weight                   //
         << ", \"submitted\": " << client.submitted           //
         << ", \"queued\": " << client.queued                 //

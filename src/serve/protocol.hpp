@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -26,9 +27,15 @@ inline constexpr const char* kErrQueueFull = "QUEUE_FULL";
 /// truncated payload).
 inline constexpr const char* kErrTooLarge = "TOO_LARGE";
 inline constexpr const char* kErrBadFrame = "BAD_FRAME";
+/// A command line longer than kMaxCommandLineBytes; the server then closes
+/// the connection.
+inline constexpr const char* kErrLineTooLong = "LINE_TOO_LONG";
 
-/// JSON string escaping (quotes, backslashes, control characters).
-[[nodiscard]] std::string jsonEscape(const std::string& text);
+/// Longest command line the server reads, newline excluded. A peer that
+/// sends more bytes without a newline gets LINE_TOO_LONG and is
+/// disconnected, so one connection cannot grow the server's buffer without
+/// limit. Generous: the longest legitimate lines are SUBMIT job lines.
+inline constexpr std::size_t kMaxCommandLineBytes = 64 * 1024;
 
 /// One job's terminal outcome as single-line JSON — the RESULT payload and
 /// one element of a watch-mode result file.

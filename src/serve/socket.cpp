@@ -227,12 +227,24 @@ void SocketFrontend::handleConnection(int fd) {
       registry.gauge("mcmcpar_serve_active_connections",
                      "Socket connections currently open."));
   std::string buffer;
+  std::size_t scanned = 0;  // buffer[0, scanned) holds no newline
   char chunk[4096];
   bool keepOpen = true;
   ConnectionState state;
   while (keepOpen && !stopping_.load()) {
-    const std::size_t newline = buffer.find('\n');
+    const std::size_t newline = buffer.find('\n', scanned);
+    const std::size_t lineBytes =
+        newline == std::string::npos ? buffer.size() : newline;
+    if (lineBytes > protocol::kMaxCommandLineBytes) {
+      (void)sendLine(fd, protocol::errLine(
+                             protocol::kErrLineTooLong,
+                             "command line exceeds " +
+                                 std::to_string(protocol::kMaxCommandLineBytes) +
+                                 " bytes"));
+      break;
+    }
     if (newline == std::string::npos) {
+      scanned = buffer.size();
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n == 0) break;  // client closed
       if (n < 0) {
@@ -246,6 +258,7 @@ void SocketFrontend::handleConnection(int fd) {
     }
     std::string line = buffer.substr(0, newline);
     buffer.erase(0, newline + 1);
+    scanned = 0;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
     // UPLOAD is the one command followed by a binary body, so it cannot go
@@ -689,8 +702,9 @@ void Client::send(const std::string& line) {
 std::string Client::readLine() {
   if (fd_ < 0) throw ProtocolError("not connected");
   char chunk[4096];
+  std::size_t scanned = 0;  // buffer_[0, scanned) holds no newline
   while (true) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
@@ -707,6 +721,7 @@ std::string Client::readLine() {
       throw ProtocolError("recv failed: " +
                           std::string(std::strerror(errno)));
     }
+    scanned = buffer_.size();
     buffer_.append(chunk, static_cast<std::size_t>(n));
   }
 }

@@ -7,6 +7,7 @@
 
 #include "engine/options.hpp"
 #include "img/pnm_io.hpp"
+#include "obs/trace.hpp"
 #include "serve/protocol.hpp"
 
 namespace fs = std::filesystem;
@@ -128,8 +129,8 @@ void WatchFrontend::ingest(const std::string& path) {
   } catch (const std::exception& e) {
     writeAtomically(resultPathFor(path),
                     std::string("{\"manifest\": \"") +
-                        protocol::jsonEscape(path) + "\", \"error\": \"" +
-                        protocol::jsonEscape(e.what()) + "\"}\n");
+                        obs::jsonEscape(path) + "\", \"error\": \"" +
+                        obs::jsonEscape(e.what()) + "\"}\n");
     return;
   }
 
@@ -151,8 +152,8 @@ void WatchFrontend::ingest(const std::string& path) {
     }
     writeAtomically(resultPathFor(path),
                     std::string("{\"manifest\": \"") +
-                        protocol::jsonEscape(path) + "\", \"error\": \"" +
-                        protocol::jsonEscape(errors) + "\"}\n");
+                        obs::jsonEscape(path) + "\", \"error\": \"" +
+                        obs::jsonEscape(errors) + "\"}\n");
     return;
   }
   pending_.push_back(std::move(pendingFile));
@@ -175,7 +176,7 @@ void WatchFrontend::settle() {
 
     std::ostringstream out;
     std::size_t done = 0, failed = 0, cancelled = 0;
-    out << "{\"manifest\": \"" << protocol::jsonEscape(it->path) << "\",\n"
+    out << "{\"manifest\": \"" << obs::jsonEscape(it->path) << "\",\n"
         << " \"jobs\": [\n";
     for (std::size_t i = 0; i < it->jobs.size(); ++i) {
       const std::uint64_t id = it->jobs[i];
@@ -198,7 +199,7 @@ void WatchFrontend::settle() {
       out << " \"admission_errors\": [";
       for (std::size_t i = 0; i < it->admissionErrors.size(); ++i) {
         out << (i == 0 ? "" : ", ") << "\""
-            << protocol::jsonEscape(it->admissionErrors[i]) << "\"";
+            << obs::jsonEscape(it->admissionErrors[i]) << "\"";
       }
       out << "],\n";
       failed += it->admissionErrors.size();

@@ -6,7 +6,7 @@
 #include "mcmc/move_registry.hpp"
 #include "mcmc/run_hooks.hpp"
 #include "mcmc/sampler.hpp"
-#include "par/thread_pool.hpp"
+#include "par/concurrency.hpp"
 
 namespace mcmcpar::spec {
 
@@ -53,12 +53,13 @@ struct SpeculativeStats {
 /// chain trajectory is independent of evaluation order and thread timing.
 class SpeculativeExecutor {
  public:
-  /// `pool` enables genuinely parallel lane evaluation (proposals are
-  /// read-only); null evaluates lanes serially (single-core container,
-  /// virtual-time benches).
+  /// `lease` (borrowed) enables genuinely parallel lane evaluation on its
+  /// threads (proposals are read-only); null evaluates lanes serially
+  /// (virtual-time benches).
   SpeculativeExecutor(model::ModelState& state,
                       const mcmc::MoveRegistry& registry, unsigned lanes,
-                      std::uint64_t seed, par::ThreadPool* pool = nullptr);
+                      std::uint64_t seed,
+                      const par::PoolLease* lease = nullptr);
 
   /// Execute one speculative round; returns consumed chain iterations.
   std::uint64_t round(MovePhase phase = MovePhase::Any,
@@ -79,7 +80,7 @@ class SpeculativeExecutor {
   const mcmc::MoveRegistry& registry_;
   unsigned lanes_;
   rng::Stream master_;
-  par::ThreadPool* pool_;
+  const par::PoolLease* lease_;
   SpeculativeStats stats_;
   mcmc::Diagnostics diagnostics_;
   std::uint64_t roundCounter_ = 0;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <optional>
 
 #include "engine/registry.hpp"
 #include "img/synth.hpp"
+#include "par/concurrency.hpp"
 
 namespace mcmcpar::engine {
 namespace {
@@ -133,6 +136,20 @@ TEST(StrategyRegistry, UnknownAndMalformedOptionsAreDescriptiveErrors) {
                EngineError);
 }
 
+TEST(StrategyRegistry, RemovedOmpExecutorIsRejectedListingTheRest) {
+  try {
+    (void)StrategyRegistry::builtin().create("periodic", {}, {"executor=omp"});
+    FAIL() << "expected EngineError";
+  } catch (const EngineError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("got 'omp'"), std::string::npos) << what;
+    for (const char* executor :
+         {"'auto'", "'serial'", "'pool'", "'split-serial'", "'split-pool'"}) {
+      EXPECT_NE(what.find(executor), std::string::npos) << executor;
+    }
+  }
+}
+
 TEST(StrategyRegistry, RunBeforePrepareIsAnError) {
   const auto strategy = StrategyRegistry::builtin().create("serial");
   auto run = [&] { (void)strategy->run(RunBudget{100, 0}); };
@@ -221,6 +238,49 @@ TEST(EngineRoundTrip, SameSeedIsReproducibleAcrossEngineCalls) {
 // ---------------------------------------------------------------------------
 // RunHooks: progress/trace observers and cancellation.
 // ---------------------------------------------------------------------------
+
+TEST(EngineRoundTrip, ResultsAreIdenticalAtOneTwoAndFourThreads) {
+  // Lanes, chains and partitions draw from seed-derived streams, so the
+  // thread that runs them cannot change the chain. periodic executor=auto
+  // is left out: it switches the legality margin with the thread count.
+  // The in-place safety margin needs a scene large enough to leave
+  // partitions with modifiable circles, or no local phase would run.
+  const img::Scene scene = tinyScene(61);
+  const img::Scene wide =
+      img::generateScene(img::cellScene(384, 384, 12, 8.0, 61));
+  struct Case {
+    std::string name;
+    std::vector<std::string> options;
+    const img::Scene* scene;
+  };
+  const std::vector<Case> cases{
+      {"speculative", {"lanes=4"}, &scene},
+      {"mc3", {"chains=4", "swap-interval=50"}, &scene},
+      {"periodic", {"executor=pool", "phase=40"}, &wide}};
+  for (const auto& [name, options, caseScene] : cases) {
+    std::optional<RunReport> reference;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      par::PoolBudget budget(threads);
+      ExecResources resources{threads, false, 29};
+      resources.poolBudget = &budget;
+      const RunReport report = Engine(resources).run(
+          name, tinyProblem(*caseScene), RunBudget{6000, 0}, {}, options);
+      EXPECT_EQ(report.threadsUsed, threads) << name;
+      if (const auto* periodic =
+              std::get_if<core::PeriodicReport>(&report.extras)) {
+        EXPECT_GT(periodic->localIterations, 0u);
+      }
+      if (!reference) {
+        reference = report;
+        continue;
+      }
+      EXPECT_EQ(report.circles, reference->circles)
+          << name << " at " << threads << " threads";
+      EXPECT_EQ(report.logPosterior, reference->logPosterior)
+          << name << " at " << threads << " threads";
+    }
+  }
+}
 
 TEST(RunHooks, ProgressAndTraceObserversFire) {
   const img::Scene scene = tinyScene(15);

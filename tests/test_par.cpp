@@ -7,12 +7,7 @@
 #include <thread>
 #include <vector>
 
-#if defined(MCMCPAR_HAVE_OPENMP)
-#include <omp.h>
-#endif
-
 #include "par/concurrency.hpp"
-#include "par/omp_support.hpp"
 #include "par/task_scheduler.hpp"
 #include "par/thread_pool.hpp"
 #include "par/virtual_clock.hpp"
@@ -26,14 +21,6 @@ TEST(Concurrency, ResolveThreadCountMapsZeroToHardware) {
   const unsigned hardware = resolveThreadCount(0);
   EXPECT_GE(hardware, 1u);
   EXPECT_EQ(hardware, std::max(1u, std::thread::hardware_concurrency()));
-}
-
-TEST(Concurrency, MakeThreadPoolHonoursResolution) {
-  const auto pool = makeThreadPool(2);
-  ASSERT_NE(pool, nullptr);
-  std::atomic<int> counter{0};
-  pool->parallelFor(8, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 8);
 }
 
 TEST(PoolBudget, AcquireAndReleaseRoundTrip) {
@@ -104,13 +91,128 @@ TEST(PoolLease, MoveTransfersTheGrant) {
   EXPECT_EQ(budget.available(), 3u);
 }
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
+// ---------------------------------------------------------------------------
+// PoolLease::parallelFor — the one executor every parallel strategy uses.
+// ---------------------------------------------------------------------------
+
+TEST(PoolLease, ParallelForCoversEveryIndexOnce) {
+  PoolBudget budget(4);
+  const PoolLease lease = PoolLease::acquire(&budget, 3);
+  std::vector<std::atomic<int>> hits(257);
+  lease.parallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // A standalone lease runs on a budget of its own.
+  const PoolLease standalone = PoolLease::acquire(nullptr, 3);
+  std::vector<std::atomic<int>> again(64);
+  standalone.parallelFor(again.size(),
+                         [&](std::size_t i) { again[i].fetch_add(1); });
+  for (const auto& h : again) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(PoolLease, ParallelForZeroIsNoop) {
+  PoolBudget budget(2);
+  const PoolLease lease = PoolLease::acquire(&budget, 2);
+  lease.parallelFor(0, [](std::size_t) { FAIL(); });
+  const PoolLease single;
+  single.parallelFor(0, [](std::size_t) { FAIL(); });
+}
+
+TEST(PoolLease, ParallelForPropagatesTheFirstException) {
+  PoolBudget budget(3);
+  const PoolLease lease = PoolLease::acquire(&budget, 3);
+  EXPECT_THROW(lease.parallelFor(16,
+                                 [](std::size_t i) {
+                                   if (i % 4 == 1) {
+                                     throw std::runtime_error("boom");
+                                   }
+                                 }),
+               std::runtime_error);
+  const PoolLease single;
+  EXPECT_THROW(single.parallelFor(
+                   4, [](std::size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  // The budget's pool stays usable after a failed call.
+  std::atomic<int> count{0};
+  lease.parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 8);
+}
+
+TEST(PoolLease, NestedCallOnSingleWorkerBudgetCompletes) {
+  // Budget of 2 = one pool worker. The outer call occupies it; each nested
+  // lease finds the budget drained (threads() == 1) or shares the worker,
+  // and must still finish on its calling thread.
+  PoolBudget budget(2);
+  const PoolLease outer = PoolLease::acquire(&budget, 2);
+  ASSERT_EQ(outer.threads(), 2u);
+  std::atomic<int> inner{0};
+  outer.parallelFor(4, [&](std::size_t) {
+    outer.parallelFor(5, [&](std::size_t) { inner.fetch_add(1); });
+    const PoolLease nested = PoolLease::acquire(&budget, 2);
+    nested.parallelFor(3, [&](std::size_t) { inner.fetch_add(1); });
+  });
+  EXPECT_EQ(inner.load(), 4 * (5 + 3));
+}
+
+TEST(PoolLease, PeakConcurrencyNeverExceedsThreads) {
+  PoolBudget budget(4);
+  for (const unsigned want : {1u, 2u, 3u}) {
+    const PoolLease lease = PoolLease::acquire(&budget, want);
+    ASSERT_EQ(lease.threads(), want);
+    std::atomic<unsigned> running{0};
+    std::atomic<unsigned> peak{0};
+    lease.parallelFor(64, [&](std::size_t) {
+      const unsigned now = running.fetch_add(1) + 1;
+      unsigned seen = peak.load();
+      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      running.fetch_sub(1);
+    });
+    EXPECT_LE(peak.load(), want) << want;
+    EXPECT_GE(peak.load(), 1u);
   }
-  pool.wait();
+}
+
+TEST(PoolLease, CallReturnsWhileAnotherLeasesTaskIsBlocked) {
+  // Two leases on one budget of 3 (two pool workers). Lease A parks a task
+  // on a worker; lease B's call must neither run nor wait for A's work.
+  PoolBudget budget(3);
+  const PoolLease a = PoolLease::acquire(&budget, 2);
+  const PoolLease b = PoolLease::acquire(&budget, 2);
+  ASSERT_EQ(a.threads(), 2u);
+  ASSERT_EQ(b.threads(), 2u);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::jthread holder([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    a.parallelFor(2, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        // Hold this index until the pool worker has parked on the other.
+        while (!started.load()) std::this_thread::yield();
+        return;
+      }
+      started.store(true);
+      while (!release.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::atomic<int> count{0};
+  b.parallelFor(8, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 8);
+  EXPECT_FALSE(release.load());  // A's task is still blocked
+  release.store(true);
+}
+
+TEST(ThreadPool, RunsSubmittedTasks) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 50; ++i) {
+      pool.submit([&counter] { counter.fetch_add(1); });
+    }
+  }  // destruction runs every queued task before joining
   EXPECT_EQ(counter.load(), 50);
 }
 
@@ -155,8 +257,8 @@ TEST(ThreadPool, ReusableAcrossRegions) {
 
 TEST(ThreadPool, ParallelForIsReentrant) {
   // A nested parallelFor on the same pool must complete even when every
-  // worker is blocked inside the enclosing call (the waiting callers help
-  // drain the queue). This deadlocked before the per-call completion latch.
+  // worker is blocked inside the enclosing call: a caller waits only for
+  // indices already running, never for a helper still queued.
   ThreadPool pool(2);
   std::atomic<int> inner{0};
   pool.parallelFor(4, [&](std::size_t) {
@@ -188,31 +290,6 @@ TEST(ThreadPool, NestedParallelForPropagatesException) {
       std::runtime_error);
   // Every outer index still ran (exceptions are collected, not aborting).
   EXPECT_EQ(outerRuns.load(), 4);
-}
-
-TEST(ThreadPool, StolenSubmittedTaskKeepsAccounting) {
-  // The worker is parked in the blocker, so parallelFor's drain loop steals
-  // the queued fire-and-forget task and runs it on the caller. The
-  // in-flight accounting must stay balanced (or the later wait() hangs).
-  ThreadPool pool(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  std::atomic<int> stolen{0};
-  pool.submit([&] {
-    started.store(true);
-    while (!release.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  while (!started.load()) std::this_thread::yield();
-  pool.submit([&] { stolen.fetch_add(1); });
-  pool.parallelFor(2, [](std::size_t) {});
-  EXPECT_EQ(stolen.load(), 1);
-  release.store(true);
-  pool.wait();
-  std::atomic<int> count{0};
-  pool.parallelFor(4, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ThreadPool, PoolUsableAfterException) {
@@ -304,43 +381,6 @@ TEST(WallTimer, NonNegativeElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.seconds(), 0.0);
 }
-
-TEST(OmpSupport, ParallelForCoversIndices) {
-  std::vector<std::atomic<int>> hits(64);
-  ompParallelFor(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(OmpSupport, ReportsConfiguration) {
-#if defined(MCMCPAR_HAVE_OPENMP)
-  EXPECT_TRUE(ompAvailable());
-  EXPECT_GE(ompMaxThreads(), 1u);
-#else
-  EXPECT_FALSE(ompAvailable());
-  EXPECT_EQ(ompMaxThreads(), 1u);
-#endif
-}
-
-#if defined(MCMCPAR_HAVE_OPENMP)
-// The build claims OpenMP: ompAvailable() must agree, catching regressions
-// where the MCMCPAR_HAVE_OPENMP define silently drops out of the build and
-// LocalExecutor::InPlaceOmp degrades to serial.
-TEST(OmpSupport, BuildDefineImpliesRuntimeAvailability) {
-  EXPECT_TRUE(ompAvailable());
-}
-
-TEST(OmpSupport, ParallelForRunsInsideOmpRegion) {
-  // omp_get_level() > 0 inside the loop proves the pragma engaged instead
-  // of the serial fallback. (Unlike omp_in_parallel(), the level also
-  // counts regions the runtime made inactive, e.g. under OMP_THREAD_LIMIT=1
-  // on constrained machines.)
-  std::atomic<int> insideRegion{0};
-  ompParallelFor(
-      4, [&](std::size_t) { insideRegion.fetch_add(omp_get_level() > 0); },
-      2);
-  EXPECT_EQ(insideRegion.load(), 4);
-}
-#endif
 
 }  // namespace
 }  // namespace mcmcpar::par

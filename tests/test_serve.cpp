@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "engine/options.hpp"
 #include "img/pnm_io.hpp"
 #include "img/synth.hpp"
+#include "obs/trace.hpp"
 #include "serve/image_cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -243,10 +245,10 @@ TEST(ImageCache, InternDedupsByHashAndHexIsStable) {
 // ---------------------------------------------------------------------------
 
 TEST(Protocol, JsonEscapeHandlesQuotesBackslashesAndControls) {
-  EXPECT_EQ(protocol::jsonEscape("plain"), "plain");
-  EXPECT_EQ(protocol::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(protocol::jsonEscape("x\n\t\r"), "x\\n\\t\\r");
-  EXPECT_EQ(protocol::jsonEscape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(obs::jsonEscape("plain"), "plain");
+  EXPECT_EQ(obs::jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::jsonEscape("x\n\t\r"), "x\\n\\t\\r");
+  EXPECT_EQ(obs::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
 TEST(Protocol, ReplyAndEventLines) {
@@ -915,6 +917,45 @@ TEST(Socket, UploadLargerThanCacheCapacityIsTooLarge) {
               std::string::npos)
         << e.what();
   }
+  frontend.stop();
+  server.shutdown(5.0);
+}
+
+TEST(Socket, OverlongCommandLineGetsLineTooLongAndAClose) {
+  Server server(tinyServer());
+  SocketFrontend frontend(server, /*port=*/0);
+  // A line of exactly the cap is still read and dispatched.
+  const std::string atCap =
+      rawExchange(frontend.port(),
+                  std::string(protocol::kMaxCommandLineBytes, 'A') + "\n");
+  EXPECT_EQ(atCap.rfind("ERR BAD_REQUEST", 0), 0u) << atCap.substr(0, 80);
+
+  // One byte more, with no newline and the write side left open: the
+  // server must answer and close on its own.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(frontend.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string overlong(protocol::kMaxCommandLineBytes + 1, 'A');
+  ASSERT_EQ(::send(fd, overlong.data(), overlong.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(overlong.size()));
+  std::string received;
+  char chunk[256];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, chunk, sizeof(chunk), 0)) > 0) {
+    received.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  EXPECT_EQ(n, 0) << "no close within the timeout";
+  EXPECT_EQ(received.rfind("ERR LINE_TOO_LONG", 0), 0u) << received;
   frontend.stop();
   server.shutdown(5.0);
 }

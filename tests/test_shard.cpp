@@ -28,6 +28,7 @@
 #include "shard/remote.hpp"
 #include "shard/report.hpp"
 #include "shard/stitcher.hpp"
+#include "shard/strategy.hpp"
 #include "shard/tiling.hpp"
 
 namespace mcmcpar {
@@ -511,6 +512,71 @@ TEST(ShardedStrategy, SameSeedSameMergedCircles) {
     EXPECT_EQ(a.circles[i], b.circles[i]) << i;
   }
   EXPECT_DOUBLE_EQ(a.logPosterior, b.logPosterior);
+}
+
+/// A tile strategy that returns once two tiles are inside run() at the same
+/// moment, or after a generous timeout; `met` counts the tiles that met.
+class RendezvousStrategy final : public engine::Strategy {
+ public:
+  RendezvousStrategy(std::atomic<int>& inside, std::atomic<int>& met)
+      : inside_(inside), met_(met) {}
+
+  [[nodiscard]] const std::string& name() const noexcept override {
+    return name_;
+  }
+  void prepare(const engine::Problem&) override {}
+  [[nodiscard]] engine::RunReport run(const engine::RunBudget& budget,
+                                      const engine::RunHooks&) override {
+    inside_.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inside_.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (inside_.load() >= 2) met_.fetch_add(1);
+    engine::RunReport report;
+    report.strategy = name_;
+    report.iterations = budget.iterations;
+    return report;
+  }
+
+ private:
+  std::string name_ = "rendezvous";
+  std::atomic<int>& inside_;
+  std::atomic<int>& met_;
+};
+
+TEST(ShardedStrategy, ServedLocalJobRunsTilesOnTheIdleWorkersThread) {
+  // A 2-thread server running one sharded backend=local job: its serve
+  // worker is charged to the budget and the idle worker's thread is free.
+  // The tile runners are that worker plus the free thread, so both tiles
+  // run at once; charging the worker a second time would serialise them.
+  std::atomic<int> inside{0};
+  std::atomic<int> met{0};
+  engine::StrategyRegistry registry;
+  registry.add({"rendezvous", "-", "meets a concurrent sibling tile", "-", "",
+                [&](const engine::ExecResources&, const engine::OptionMap&) {
+                  return std::make_unique<RendezvousStrategy>(inside, met);
+                }});
+  shard::registerShardedStrategy(registry);
+
+  par::PoolBudget budget(2);
+  ASSERT_EQ(budget.tryAcquire(1), 1u);  // the serve worker running the job
+  const img::Scene scene = shardScene();
+  engine::BatchJob job;
+  job.strategy = "sharded";
+  job.options = {"tiles=2x1", "strategy=rendezvous"};
+  job.problem = shardProblem(scene);
+  job.budget = engine::RunBudget{2000, 0};
+  engine::ExecResources resources;
+  resources.threads = 2;
+  resources.poolBudget = &budget;
+  const engine::RunReport report =
+      engine::BatchRunner(&registry).runOne(job, resources);
+
+  EXPECT_EQ(met.load(), 2);
+  EXPECT_EQ(std::get<shard::ShardReport>(report.extras).tiles.size(), 2u);
+  EXPECT_EQ(budget.available(), 1u);  // the tile runner's thread came back
 }
 
 TEST(ShardedStrategy, CancellationBeforeStartYieldsCancelledReport) {

@@ -101,20 +101,20 @@ TEST(SpeculativeExecutor, LocalPhaseImprovesFit) {
 }
 
 TEST(SpeculativeExecutor, ParallelLanesMatchSemantics) {
-  // With a thread pool the proposals are evaluated concurrently, but the
-  // committed trajectory must still be a prefix-consume chain; run both and
-  // compare *statistics* (the trajectories are identical because lane
-  // streams are derived from (round, lane)).
+  // With a multi-thread lease the proposals are evaluated concurrently, but
+  // the committed trajectory must still be a prefix-consume chain. Lane
+  // streams are derived from (round, lane), so the trajectories are
+  // identical bit for bit.
   Fixture serial(7), pooled(7);
-  par::ThreadPool pool(2);
+  const par::PoolLease lease = par::PoolLease::acquire(nullptr, 3);
   SpeculativeExecutor a(serial.state, serial.registry, 3, 17);
-  SpeculativeExecutor b(pooled.state, pooled.registry, 3, 17, &pool);
+  SpeculativeExecutor b(pooled.state, pooled.registry, 3, 17, &lease);
   a.run(2000);
   b.run(2000);
   EXPECT_EQ(a.stats().rounds, b.stats().rounds);
   EXPECT_EQ(a.stats().logicalIterations, b.stats().logicalIterations);
-  EXPECT_EQ(serial.state.config().size(), pooled.state.config().size());
-  EXPECT_NEAR(serial.state.logPosterior(), pooled.state.logPosterior(), 1e-9);
+  EXPECT_EQ(serial.state.config().snapshot(), pooled.state.config().snapshot());
+  EXPECT_EQ(serial.state.logPosterior(), pooled.state.logPosterior());
 }
 
 TEST(SpeculativeExecutor, MoreLanesMoreIterationsPerRound) {
